@@ -58,8 +58,6 @@ func run(args []string) error {
 		switch *exp {
 		case "pbatch":
 			return writePBatchJSON(cfg, *jsonL)
-		case "coalesce":
-			return writeCoalesceJSON(cfg, *jsonL)
 		case "footprint":
 			return writeFootprintJSON(cfg, *jsonL)
 		case "tiered":
@@ -94,20 +92,6 @@ func writePBatchJSON(cfg bench.Config, label string) error {
 		return err
 	}
 	if err := bench.RenderPBatchReport(rep, os.Stdout); err != nil {
-		return err
-	}
-	return writeJSONArtifact(label, func(f *os.File) error { return rep.WriteJSON(f, label) })
-}
-
-// writeCoalesceJSON is writeBatchJSON for the request-coalescing
-// serving experiment (-exp coalesce -json coalesce →
-// BENCH_coalesce.json).
-func writeCoalesceJSON(cfg bench.Config, label string) error {
-	rep, err := bench.CoalesceReportRun(cfg)
-	if err != nil {
-		return err
-	}
-	if err := bench.RenderCoalesceReport(rep, os.Stdout); err != nil {
 		return err
 	}
 	return writeJSONArtifact(label, func(f *os.File) error { return rep.WriteJSON(f, label) })

@@ -221,9 +221,7 @@ func runStats(args []string) error {
 		fmt.Printf("model: %s layout, %d dictionary B + %d table B resident\n",
 			bolt.StatsLayoutName(st.Layout), st.DictBytes, st.TableBytes)
 	}
-	fmt.Printf("coalesced batches: %d (%d requests, %d rows; mean %.1f rows/batch, p99 <%d)\n",
-		st.CoalescedBatches, st.CoalescedRequests, st.CoalescedRows,
-		st.CoalesceMeanRows(), st.CoalesceSizeQuantile(0.99))
+	fmt.Printf("parallel batches: %d\n", st.ParallelBatches)
 	if st.Tier0Answered+st.TierEscalated > 0 {
 		fmt.Printf("tiered: %d answered at tier 0, %d escalated (escalation rate %.3f)\n",
 			st.Tier0Answered, st.TierEscalated, st.TierEscalationRate())

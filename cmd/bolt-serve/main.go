@@ -52,8 +52,6 @@ func run(args []string) error {
 		workers    = fs.Int("workers", 0, "engine-pool size; concurrent requests run on separate engines (0 = GOMAXPROCS)")
 		kWorkers   = fs.Int("kernel-workers", 0, "parallel batch-kernel worker count shared by the engine pool (0 = GOMAXPROCS)")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
-		coHold     = fs.Duration("coalesce-hold", bolt.DefaultCoalesceHold, "max time a small request waits to join a coalesced batch (0 disables coalescing)")
-		coMax      = fs.Int("coalesce-max", bolt.DefaultCoalesceMaxRows, "row cap per coalesced batch; requests of this many rows or more run alone")
 		tierTrees  = fs.Int("tier-trees", 0, "tier-0 tree prefix for staged early-exit inference, applied at compile time (0 disables; exact mode needs a majority prefix)")
 		tierMargin = fs.Int64("tier-margin", -1, "tiered escalation margin in vote units (negative = the model's stored policy: its calibrated threshold if one was saved, exact otherwise)")
 	)
@@ -61,19 +59,12 @@ func run(args []string) error {
 		return err
 	}
 	// Reject nonsense sizings up front: a typo like -workers -4 should
-	// fail loudly here, not surface as a confusing pool default or a
-	// coalescer that silently never forms a batch.
+	// fail loudly here, not surface as a confusing pool default.
 	if *workers < 0 {
 		return fmt.Errorf("-workers must not be negative, got %d (0 selects GOMAXPROCS)", *workers)
 	}
 	if *kWorkers < 0 {
 		return fmt.Errorf("-kernel-workers must not be negative, got %d (0 selects GOMAXPROCS)", *kWorkers)
-	}
-	if *coHold < 0 {
-		return fmt.Errorf("-coalesce-hold must not be negative, got %v (0 disables coalescing)", *coHold)
-	}
-	if *coMax < 1 {
-		return fmt.Errorf("-coalesce-max must be at least 1, got %d (1 disables coalescing)", *coMax)
 	}
 	if *drain <= 0 {
 		return fmt.Errorf("-drain must be positive, got %v", *drain)
@@ -184,15 +175,14 @@ func run(args []string) error {
 		}
 		return mkFactory(nbf), nbf.NumFeatures, nsum, nil
 	}
-	return serveForest(bf, sum, mkFactory(bf), reloader, *socket, *workers, *tierMargin, *drain,
-		bolt.CoalesceConfig{Hold: *coHold, MaxRows: *coMax})
+	return serveForest(bf, sum, mkFactory(bf), reloader, *socket, *workers, *tierMargin, *drain)
 }
 
 // serveForest runs the service until interrupted. One signal handler
 // covers the whole lifecycle: SIGHUP hot-reloads the model, while
 // SIGINT/SIGTERM drain in-flight requests within the deadline and
 // always print the request counters accumulated over the run.
-func serveForest(bf *bolt.CompiledForest, sum string, factory bolt.EngineFactory, reloader bolt.ReloadFunc, socket string, workers int, tierMargin int64, drain time.Duration, coalesce bolt.CoalesceConfig) error {
+func serveForest(bf *bolt.CompiledForest, sum string, factory bolt.EngineFactory, reloader bolt.ReloadFunc, socket string, workers int, tierMargin int64, drain time.Duration) error {
 	// Remove a stale socket from a previous run. A removal that fails
 	// for any reason other than the socket not existing would otherwise
 	// resurface as a confusing bind error below.
@@ -205,15 +195,9 @@ func serveForest(bf *bolt.CompiledForest, sum string, factory bolt.EngineFactory
 	}
 	srv.SetModelChecksum(sum)
 	srv.SetReloader(reloader)
-	srv.SetCoalescing(coalesce)
 	st := bf.Stats()
 	fmt.Printf("serving %d-tree forest on %s with %d workers (%d dict entries, %d table slots, model %s)\n",
 		bf.NumTrees, socket, srv.Workers(), st.DictEntries, st.TableSlots, sum)
-	if coalesce.Hold > 0 && coalesce.MaxRows > 1 {
-		fmt.Printf("request coalescing on: hold %s, max %d rows/batch\n", coalesce.Hold, coalesce.MaxRows)
-	} else {
-		fmt.Println("request coalescing off")
-	}
 	if bf.Tiered() {
 		margin := tierMargin
 		if margin < 0 {
@@ -253,11 +237,7 @@ func serveForest(bf *bolt.CompiledForest, sum string, factory bolt.EngineFactory
 func printStats(st bolt.ServerStats) {
 	fmt.Printf("served %d requests (%d errors, %d panics recovered, %d reloads, %d in flight) on %d workers\n",
 		st.Requests, st.Errors, st.Panics, st.Reloads, st.InFlight, st.Workers)
-	if st.CoalescedBatches > 0 {
-		fmt.Printf("  coalesced batches: %d (%d requests, %d rows; mean %.1f rows/batch, p99 <%d)\n",
-			st.CoalescedBatches, st.CoalescedRequests, st.CoalescedRows,
-			st.CoalesceMeanRows(), st.CoalesceSizeQuantile(0.99))
-	}
+	fmt.Printf("  parallel batches: %d\n", st.ParallelBatches)
 	if st.Tier0Answered+st.TierEscalated > 0 {
 		fmt.Printf("  tiered: %d answered at tier 0, %d escalated (escalation rate %.3f)\n",
 			st.Tier0Answered, st.TierEscalated, st.TierEscalationRate())

@@ -35,9 +35,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	bad := [][]string{
 		{"-workers", "-1"},
 		{"-kernel-workers", "-2"},
-		{"-coalesce-hold", "-1ms"},
-		{"-coalesce-max", "0"},
-		{"-coalesce-max", "-8"},
 		{"-drain", "0s"},
 	}
 	for _, args := range bad {

@@ -602,7 +602,6 @@ var Experiments = []struct {
 	{"skew", "FP calibration-mismatch study, §2.1 (extra)", Skew},
 	{"batch", "cache-blocked batch kernel vs row-at-a-time (extra)", FigBatch},
 	{"pbatch", "parallel batch kernel scaling on the persistent runtime (extra)", FigPBatch},
-	{"coalesce", "request coalescing: single-row serving throughput off vs on (extra)", FigCoalesce},
 	{"footprint", "§5 compact memory layout vs flat: bytes and kernel delta (extra)", FigFootprint},
 	{"tiered", "tiered early exit: latency/accuracy frontier vs exit margin (extra)", FigTiered},
 }

@@ -373,6 +373,9 @@ func (e *blockingEngine) Predict(x []float32) int {
 // flight when Shutdown begins completes successfully, idle connections
 // are released, and the listener stops accepting.
 func TestShutdownDrainsInFlight(t *testing.T) {
+	// After the graceful drain, every handler and writer goroutine must
+	// be joined.
+	defer faults.VerifyNoLeaks(t)
 	sock := filepath.Join(t.TempDir(), "d.sock")
 	eng := &blockingEngine{entered: make(chan struct{}, 1), release: make(chan struct{})}
 	srv, err := NewPool(sock, func() Engine { return eng }, 3, 1)

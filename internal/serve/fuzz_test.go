@@ -48,8 +48,7 @@ func FuzzDecodeStats(f *testing.F) {
 	op.Buckets[5] = 9
 	st.Ops = append(st.Ops, op)
 	f.Add(encodeStats(st))
-	st.CoalescedBatches, st.CoalescedRequests, st.CoalescedRows = 4, 30, 60
-	st.CoalesceSize[4] = 4
+	st.ParallelBatches = 6
 	f.Add(encodeStats(st))
 	st.Tier0Answered, st.TierEscalated = 120, 40
 	st.TierRate[0] = 2

@@ -78,8 +78,8 @@ func TestParallelBatchPreferred(t *testing.T) {
 			t.Fatalf("sample %d: parallel batch served %d, reference %d", i, labels[i], want)
 		}
 	}
-	if got := srv.stats.parallelBatches.Load(); got != 1 {
-		t.Errorf("parallelBatches counter = %d, want 1", got)
+	if got := srv.Stats().ParallelBatches; got != 1 {
+		t.Errorf("ParallelBatches = %d, want 1", got)
 	}
 	var calls int64
 	for _, e := range engines {
@@ -113,8 +113,8 @@ func TestParallelBatchSmallFallsBack(t *testing.T) {
 			t.Fatalf("sample %d: served %d, reference %d", i, labels[i], want)
 		}
 	}
-	if got := srv.stats.parallelBatches.Load(); got != 0 {
-		t.Errorf("parallelBatches counter = %d, want 0 for a small batch", got)
+	if got := srv.Stats().ParallelBatches; got != 0 {
+		t.Errorf("ParallelBatches = %d, want 0 for a small batch", got)
 	}
 }
 
@@ -140,8 +140,8 @@ func TestParallelBatchBusyPoolFallsBack(t *testing.T) {
 			t.Fatalf("sample %d: served %d, reference %d", i, labels[i], want)
 		}
 	}
-	if got := srv.stats.parallelBatches.Load(); got != 0 {
-		t.Errorf("parallelBatches counter = %d, want 0 with a busy pool", got)
+	if got := srv.Stats().ParallelBatches; got != 0 {
+		t.Errorf("ParallelBatches = %d, want 0 with a busy pool", got)
 	}
 }
 
@@ -167,8 +167,8 @@ func TestParallelBatchSingleWorkerSkipped(t *testing.T) {
 	if _, _, err := cl.ClassifyBatch(d.X); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.stats.parallelBatches.Load(); got != 0 {
-		t.Errorf("parallelBatches counter = %d, want 0 for a 1-worker kernel", got)
+	if got := srv.Stats().ParallelBatches; got != 0 {
+		t.Errorf("ParallelBatches = %d, want 0 for a 1-worker kernel", got)
 	}
 }
 

@@ -271,12 +271,10 @@ func TestStatsEndToEnd(t *testing.T) {
 
 func TestStatsRoundTrip(t *testing.T) {
 	in := ServerStats{
-		Requests: 7, Errors: 2, InFlight: 1, Workers: 4,
-		CoalescedBatches: 3, CoalescedRequests: 17, CoalescedRows: 21,
+		Requests: 7, Errors: 2, InFlight: 1, Workers: 4, ParallelBatches: 3,
 		DictBytes: 4096, TableBytes: 8192, Layout: LayoutCompact,
 		Tier0Answered: 150, TierEscalated: 50,
 	}
-	in.CoalesceSize[5] = 3
 	in.TierRate[2] = 2
 	in.TierRate[10] = 1
 	var op OpStat
@@ -292,17 +290,9 @@ func TestStatsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Requests != in.Requests || out.Errors != in.Errors ||
-		out.InFlight != in.InFlight || out.Workers != in.Workers {
+		out.InFlight != in.InFlight || out.Workers != in.Workers ||
+		out.ParallelBatches != in.ParallelBatches {
 		t.Fatalf("header mismatch: %+v vs %+v", out, in)
-	}
-	if out.CoalescedBatches != in.CoalescedBatches ||
-		out.CoalescedRequests != in.CoalescedRequests ||
-		out.CoalescedRows != in.CoalescedRows ||
-		out.CoalesceSize != in.CoalesceSize {
-		t.Fatalf("coalesce block mismatch: %+v vs %+v", out, in)
-	}
-	if got := out.CoalesceMeanRows(); got != 7 {
-		t.Errorf("CoalesceMeanRows = %v, want 7", got)
 	}
 	if out.DictBytes != in.DictBytes || out.TableBytes != in.TableBytes || out.Layout != in.Layout {
 		t.Fatalf("footprint block mismatch: %+v vs %+v", out, in)
@@ -313,11 +303,6 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 	if got := out.TierEscalationRate(); got != 0.25 {
 		t.Errorf("TierEscalationRate = %v, want 0.25", got)
-	}
-	// All three batches sit in bucket 5, so every quantile resolves to
-	// its upper edge.
-	if got := out.CoalesceSizeQuantile(0.5); got != 1<<5 {
-		t.Errorf("CoalesceSizeQuantile(0.5) = %d, want %d", got, 1<<5)
 	}
 	if len(out.Ops) != 1 || out.Ops[0] != in.Ops[0] {
 		t.Fatalf("ops mismatch: %+v vs %+v", out.Ops, in.Ops)

@@ -173,11 +173,6 @@ type Server struct {
 	// drain.
 	drained chan struct{}
 
-	// co is the request-coalescing stage: small requests from every
-	// connection park in its shared ingest queue and are served by
-	// cross-connection batch calls (see coalesce.go).
-	co *coalescer
-
 	stats serverStats
 }
 
@@ -211,19 +206,25 @@ func NewPool(socketPath string, factory EngineFactory, numFeatures, workers int)
 	}
 	s.pool.Store(p)
 	s.health.Store(uint32(HealthReady))
-	s.co = newCoalescer(s)
 	s.wg.Add(1)
 	go s.acceptLoop() //bolt:goroutine s.wg
 	return s, nil
 }
 
-// SetCoalescing reconfigures the request-coalescing stage. Safe on a
-// live server: requests already parked are flushed and re-admission
-// follows the new policy.
-func (s *Server) SetCoalescing(cfg CoalesceConfig) { s.co.configure(cfg) }
+// CoalesceConfig configured the request coalescer, which no longer
+// exists.
+//
+// Deprecated: every request is served as it arrives; the config has no
+// effect.
+type CoalesceConfig struct {
+	Hold    time.Duration
+	MaxRows int
+}
 
-// Coalescing reports the current coalescing configuration.
-func (s *Server) Coalescing() CoalesceConfig { return s.co.config() }
+// SetCoalescing does nothing.
+//
+// Deprecated: the server no longer coalesces requests.
+func (s *Server) SetCoalescing(CoalesceConfig) {}
 
 // Addr returns the listening socket path.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
@@ -294,10 +295,6 @@ func (s *Server) Reload(path string) error {
 	s.pool.Store(p)
 	s.modelSum.Store(sum)
 	s.stats.reloads.Add(1)
-	// Requests parked before the swap captured the old generation;
-	// flush them now so the old pool drains promptly and nothing waits
-	// out a hold across the swap.
-	s.co.kick()
 	return nil
 }
 
@@ -338,11 +335,93 @@ func (s *Server) draining() bool { return s.health.Load() == uint32(HealthDraini
 // so the slow-loris test can tighten it.
 var oversizeDrainTimeout = 5 * time.Second
 
+// pipelineDepth bounds how many computed replies a connection may have
+// queued for its writer before its reader blocks: backpressure against
+// a client that pipelines requests faster than it reads replies.
+const pipelineDepth = 128
+
+// reply is one computed response on its way to the connection's
+// writer.
+type reply struct {
+	op    byte
+	start time.Time
+	// observe marks dispatched requests: the writer records dispatch
+	// latency, error counters and the in-flight decrement when the
+	// reply reaches it. Raw protocol-error replies pre-count instead.
+	observe bool
+	status  byte
+	payload []byte
+}
+
+// connWriter owns the write half of one connection. The reader computes
+// each reply before queueing it, so replies reach the wire in request
+// order; the write runs on the writer goroutine so the reader can
+// decode the next pipelined frame meanwhile.
+type connWriter struct {
+	s    *Server
+	conn net.Conn
+	q    chan reply
+	done chan struct{}
+}
+
+func (s *Server) newConnWriter(conn net.Conn) *connWriter {
+	w := &connWriter{
+		s:    s,
+		conn: conn,
+		q:    make(chan reply, pipelineDepth),
+		done: make(chan struct{}),
+	}
+	s.wg.Add(1)
+	go w.run() //bolt:goroutine s.wg
+	return w
+}
+
+// finish closes the queue and waits until every queued reply has been
+// written (or discarded on a dead connection).
+func (w *connWriter) finish() {
+	close(w.q)
+	<-w.done
+}
+
+// run writes queued replies to the wire in order. Writes here carry no
+// per-call deadline; Shutdown bounds them by nudging every tracked
+// connection with an expired deadline, which surfaces in the next
+// Write and flips the writer into discard mode.
+//
+//bolt:deadline Shutdown
+func (w *connWriter) run() {
+	defer w.s.wg.Done()
+	defer close(w.done)
+	dead := false
+	for r := range w.q {
+		if r.observe {
+			// Bookkeeping before the write, as the lockstep loop did:
+			// the latency histogram covers decode + queueing + engine
+			// time, and in-flight drops before the reply can provoke
+			// the client's next request.
+			c := w.s.stats.op(r.op)
+			c.observe(time.Since(r.start))
+			if r.status == StatusErr {
+				c.errors.Add(1)
+				w.s.stats.errors.Add(1)
+			}
+			w.s.stats.inFlight.Add(-1)
+		}
+		if !dead && writeFrame(w.conn, r.status, r.payload) != nil {
+			// The client is gone. Replies already queued still drain
+			// here so counters settle; the frames just have nowhere to
+			// go. Closing the conn wakes the reader out of readFrame.
+			dead = true
+			w.conn.Close()
+		}
+	}
+}
+
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	w := s.newConnWriter(conn)
 	defer func() {
-		// Stop submitting, let every pending reply reach the wire, then
+		// Stop queueing, let every queued reply reach the wire, then
 		// release the connection.
 		w.finish()
 		conn.Close()
@@ -360,7 +439,7 @@ func (s *Server) handle(conn net.Conn) {
 				s.stats.requests.Add(1)
 				s.stats.errors.Add(1)
 				s.stats.op(op).errors.Add(1)
-				w.submitRaw(op, StatusErr, []byte(err.Error()))
+				w.q <- reply{op: op, status: StatusErr, payload: []byte(err.Error())}
 				// The drain must be deadline-bounded: a client that
 				// declares an oversized frame and then trickles bytes
 				// (or goes silent) would otherwise park this handler
@@ -389,143 +468,117 @@ func (s *Server) handle(conn net.Conn) {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				// Protocol violation: answer once if possible, then drop.
 				s.stats.errors.Add(1)
-				w.submitRaw(op, StatusErr, []byte(err.Error()))
+				w.q <- reply{op: op, status: StatusErr, payload: []byte(err.Error())}
 			}
 			return
 		}
 		s.stats.requests.Add(1)
 		s.stats.inFlight.Add(1)
-		s.serveRequest(w, op, payload)
+		start := time.Now()
+		status, out := s.serveRequest(op, payload)
+		w.q <- reply{op: op, start: start, observe: true, status: status, payload: out}
 		if s.draining() {
-			// The request in flight when Shutdown began has a reply
-			// slot reserved; the deferred finish delivers it before the
+			// The request in flight when Shutdown began has its reply
+			// queued; the deferred finish writes it before the
 			// connection closes.
 			return
 		}
 	}
 }
 
-// serveRequest reserves the connection's next in-order reply slot and
-// dispatches one frame with per-connection panic isolation: a panic
-// anywhere in decode or dispatch completes the slot with StatusErr and
-// bumps the panic counter, and the connection loop keeps serving.
-// Whatever happens, the reserved slot is completed exactly once —
-// inline here, or later by a coalescer flush.
-func (s *Server) serveRequest(w *connWriter, op byte, payload []byte) {
-	r := newReply(op)
-	w.submit(r)
+// serveRequest dispatches one frame with per-connection panic
+// isolation: a panic anywhere in decode or dispatch becomes a StatusErr
+// reply and bumps the panic counter, and the connection loop keeps
+// serving.
+func (s *Server) serveRequest(op byte, payload []byte) (status byte, out []byte) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			s.stats.panics.Add(1)
-			r.complete(StatusErr, []byte(fmt.Sprintf("serve: request handler panicked: %v", rec)))
+			status, out = StatusErr, []byte(fmt.Sprintf("serve: request handler panicked: %v", rec))
 		}
 	}()
-	if ferr := faults.Inject(faults.SiteServeConn); ferr != nil {
-		r.complete(StatusErr, []byte(ferr.Error()))
-		return
+	if err := faults.Inject(faults.SiteServeConn); err != nil {
+		return errReply(err)
 	}
-	s.dispatch(r, op, payload)
+	return s.dispatch(op, payload)
 }
 
-// dispatch serves one decoded frame, ending every path at exactly one
-// complete call (or a coalescer handoff that guarantees the same). The
-// latency histogram the writer records covers decode + queueing +
-// engine time; the serviceNs inside successful responses remains the
-// receipt-to-output clock of §4.5 — for coalesced requests that clock
-// includes the hold, since the request really did wait.
-func (s *Server) dispatch(r *pendingReply, op byte, payload []byte) {
+func errReply(err error) (status byte, payload []byte) { return StatusErr, []byte(err.Error()) }
+
+// dispatch serves one decoded frame and returns its reply. The latency
+// histogram the writer records covers decode + queueing + engine time;
+// the serviceNs inside successful responses remains the
+// receipt-to-output clock of §4.5.
+func (s *Server) dispatch(op byte, payload []byte) (status byte, out []byte) {
 	// One pool snapshot per request: a concurrent reload never mixes
-	// engine generations or feature counts within a request, coalesced
-	// or not.
+	// engine generations or feature counts within a request.
 	p := s.pool.Load()
 	//bolt:ops decode
 	switch op {
 	case OpPing:
-		r.complete(StatusOK, nil)
+		return StatusOK, nil
 	case OpStats:
-		r.complete(StatusOK, encodeStats(s.statsFor(p)))
+		return StatusOK, encodeStats(s.statsFor(p))
 	case OpHealth:
-		r.complete(StatusOK, encodeHealth(s.Healthz()))
+		return StatusOK, encodeHealth(s.Healthz())
 	case OpReload:
 		if err := s.Reload(string(payload)); err != nil {
-			r.complete(StatusErr, []byte(err.Error()))
-			return
+			return errReply(err)
 		}
-		r.complete(StatusOK, []byte(s.modelChecksum()))
+		return StatusOK, []byte(s.modelChecksum())
 	case OpClassify:
 		x, err := s.decodeInput(p, payload)
 		if err != nil {
-			r.complete(StatusErr, []byte(err.Error()))
-			return
-		}
-		if s.co.submitClassify(p, r, x) {
-			return // parked; a coalesced flush completes the reply
+			return errReply(err)
 		}
 		// Service time: receipt to aggregation output (§4.5), network
 		// excluded — the clock starts after the frame is fully read.
 		var label int
 		svc := time.Now()
-		err = s.withEngine(p, func(e Engine) { label = e.Predict(x) })
-		elapsed := time.Since(svc)
-		if err != nil {
-			r.complete(StatusErr, []byte(err.Error()))
-			return
+		if err := s.withEngine(p, func(e Engine) { label = e.Predict(x) }); err != nil {
+			return errReply(err)
 		}
-		r.complete(StatusOK, encodeClassifyResponse(label, uint64(elapsed.Nanoseconds())))
+		return StatusOK, encodeClassifyResponse(label, uint64(time.Since(svc).Nanoseconds()))
 	case OpValue:
 		if _, ok := p.rep.(ValuePredictor); !ok {
-			r.complete(StatusErr, []byte("serve: engine does not support regression"))
-			return
+			return StatusErr, []byte("serve: engine does not support regression")
 		}
 		x, err := s.decodeInput(p, payload)
 		if err != nil {
-			r.complete(StatusErr, []byte(err.Error()))
-			return
+			return errReply(err)
 		}
 		var value float32
 		svc := time.Now()
-		err = s.withEngine(p, func(e Engine) { value = e.(ValuePredictor).PredictValue(x) })
-		elapsed := time.Since(svc)
-		if err != nil {
-			r.complete(StatusErr, []byte(err.Error()))
-			return
+		if err := s.withEngine(p, func(e Engine) { value = e.(ValuePredictor).PredictValue(x) }); err != nil {
+			return errReply(err)
 		}
-		r.complete(StatusOK, encodeValueResponse(value, uint64(elapsed.Nanoseconds())))
+		return StatusOK, encodeValueResponse(value, uint64(time.Since(svc).Nanoseconds()))
 	case OpBatch:
 		X, err := decodeBatchRequest(payload, p.numFeatures)
 		if err != nil {
-			r.complete(StatusErr, []byte(err.Error()))
-			return
-		}
-		if len(X) > 0 && s.co.submitBatch(p, r, X) {
-			return // parked; a coalesced flush completes the reply
+			return errReply(err)
 		}
 		svc := time.Now()
 		labels, err := s.predictBatch(p, X)
-		elapsed := time.Since(svc)
 		if err != nil {
-			r.complete(StatusErr, []byte(err.Error()))
-			return
+			return errReply(err)
 		}
-		r.complete(StatusOK, encodeBatchResponse(labels, uint64(elapsed.Nanoseconds())))
+		return StatusOK, encodeBatchResponse(labels, uint64(time.Since(svc).Nanoseconds()))
 	case OpSalience:
 		if _, ok := p.rep.(Explainer); !ok {
-			r.complete(StatusErr, []byte("serve: engine does not support salience"))
-			return
+			return StatusErr, []byte("serve: engine does not support salience")
 		}
 		x, err := s.decodeInput(p, payload)
 		if err != nil {
-			r.complete(StatusErr, []byte(err.Error()))
-			return
+			return errReply(err)
 		}
 		var counts []int
 		if err := s.withEngine(p, func(e Engine) { counts = e.(Explainer).Salience(x) }); err != nil {
-			r.complete(StatusErr, []byte(err.Error()))
-			return
+			return errReply(err)
 		}
-		r.complete(StatusOK, encodeCounts(counts))
+		return StatusOK, encodeCounts(counts)
 	default:
-		r.complete(StatusErr, []byte(fmt.Sprintf("serve: unknown op %#x", op)))
+		return StatusErr, []byte(fmt.Sprintf("serve: unknown op %#x", op))
 	}
 }
 
@@ -744,15 +797,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		for conn := range s.conns {
 			conn.SetReadDeadline(now)
 		}
-		// Requests parked in the coalescer must flush, never drop: kick
-		// the hold immediately (submits that land after this see the
-		// draining state and kick again themselves).
-		s.co.kick()
 		go func() { //bolt:goroutine s.drained
 			s.wg.Wait()
-			// All readers and writers are gone, so nothing can park or
-			// await another reply; retire the flusher.
-			s.co.stopFlusher()
 			close(s.drained)
 		}()
 	}

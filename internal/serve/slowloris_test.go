@@ -19,7 +19,10 @@ import (
 func TestOversizedDrainIsDeadlineBounded(t *testing.T) {
 	old := oversizeDrainTimeout
 	oversizeDrainTimeout = 200 * time.Millisecond
-	defer func() { oversizeDrainTimeout = old }()
+	// Handlers read the timeout, so restore it only after the server
+	// is closed: cleanups run last-registered first, and the server's
+	// Close, registered by newTestServer below, waits for its handlers.
+	t.Cleanup(func() { oversizeDrainTimeout = old })
 
 	_, _, _, sock := newTestServer(t)
 	conn, err := net.Dial("unix", sock)

@@ -67,9 +67,7 @@ func (c *opCounter) observe(d time.Duration) {
 const TierRateBuckets = 11
 
 // serverStats is the server's live counter block. parallelBatches
-// counts whole-pool parallel-kernel takeovers (predictBatchParallel);
-// it is observability for tests and debugging, not part of the OpStats
-// wire snapshot.
+// counts whole-pool parallel-kernel takeovers (predictBatchParallel).
 type serverStats struct {
 	requests        atomic.Uint64
 	errors          atomic.Uint64
@@ -77,16 +75,6 @@ type serverStats struct {
 	reloads         atomic.Uint64
 	parallelBatches atomic.Uint64
 	inFlight        atomic.Int64
-
-	// Coalescing counters: batches flushed by the coalescer, the
-	// requests and rows they carried, and a log2 batch-size histogram
-	// (coalesceSize[b] counts flushes of rows with bits.Len64(rows) ==
-	// b). All part of the OpStats wire snapshot, so operators can see
-	// whether micro-batching is actually forming batches.
-	coalescedBatches  atomic.Uint64
-	coalescedRequests atomic.Uint64
-	coalescedRows     atomic.Uint64
-	coalesceSize      [HistBuckets]atomic.Uint64
 
 	// Tiered-inference counters: samples the tier-0 prefix answered,
 	// samples escalated to the full ensemble, and a per-batch
@@ -101,14 +89,6 @@ type serverStats struct {
 }
 
 func (s *serverStats) op(op byte) *opCounter { return &s.ops[opIndex(op)] }
-
-func (s *serverStats) observeCoalesceSize(rows int) {
-	b := bits.Len64(uint64(rows))
-	if b >= HistBuckets {
-		b = HistBuckets - 1
-	}
-	s.coalesceSize[b].Add(1)
-}
 
 // observeTier records one tiered batch's outcome: answered samples,
 // escalated samples, and the batch's escalation-rate decile.
@@ -131,20 +111,15 @@ func (s *serverStats) observeTier(answered, total uint64) {
 // between reads) but every individual value is a valid atomic load.
 func (s *serverStats) snapshot(workers int) ServerStats {
 	out := ServerStats{
-		Requests:          s.requests.Load(),
-		Errors:            s.errors.Load(),
-		Panics:            s.panics.Load(),
-		Reloads:           s.reloads.Load(),
-		InFlight:          s.inFlight.Load(),
-		Workers:           workers,
-		CoalescedBatches:  s.coalescedBatches.Load(),
-		CoalescedRequests: s.coalescedRequests.Load(),
-		CoalescedRows:     s.coalescedRows.Load(),
-		Tier0Answered:     s.tier0Answered.Load(),
-		TierEscalated:     s.tierEscalated.Load(),
-	}
-	for b := range s.coalesceSize {
-		out.CoalesceSize[b] = s.coalesceSize[b].Load()
+		Requests:        s.requests.Load(),
+		Errors:          s.errors.Load(),
+		Panics:          s.panics.Load(),
+		Reloads:         s.reloads.Load(),
+		InFlight:        s.inFlight.Load(),
+		Workers:         workers,
+		ParallelBatches: s.parallelBatches.Load(),
+		Tier0Answered:   s.tier0Answered.Load(),
+		TierEscalated:   s.tierEscalated.Load(),
 	}
 	for b := range s.tierRate {
 		out.TierRate[b] = s.tierRate[b].Load()
@@ -218,15 +193,14 @@ type ServerStats struct {
 	Reloads  uint64
 	InFlight int64
 	Workers  int
-	// CoalescedBatches counts cross-connection batches flushed by the
-	// request coalescer; CoalescedRequests and CoalescedRows are the
-	// requests and sample rows those batches carried. CoalesceSize is a
-	// log2 histogram of rows per coalesced batch (bucket b counts
-	// flushes with bits.Len64(rows) == b).
-	CoalescedBatches  uint64
-	CoalescedRequests uint64
-	CoalescedRows     uint64
-	CoalesceSize      [HistBuckets]uint64
+	// ParallelBatches counts batches classified by one engine's
+	// multi-core kernel after claiming the whole idle pool.
+	ParallelBatches uint64
+	// CoalescedBatches, CoalescedRequests and CoalescedRows counted the
+	// request coalescer's batches; they are not on the wire and read 0.
+	//
+	// Deprecated: the server no longer coalesces requests.
+	CoalescedBatches, CoalescedRequests, CoalescedRows uint64
 	// Tier0Answered and TierEscalated count samples decided by the
 	// tier-0 tree prefix versus escalated to the full ensemble, across
 	// every batch served by a tiered engine; both stay zero on an
@@ -282,14 +256,6 @@ func (s ServerStats) TierEscalationRate() float64 {
 		return 0
 	}
 	return float64(s.TierEscalated) / float64(total)
-}
-
-// CoalesceMeanRows is the mean rows per coalesced batch.
-func (s ServerStats) CoalesceMeanRows() float64 {
-	if s.CoalescedBatches == 0 {
-		return 0
-	}
-	return float64(s.CoalescedRows) / float64(s.CoalescedBatches)
 }
 
 // Backend membership states reported in a RouterSection. (Distinct
@@ -350,35 +316,11 @@ type RouterSection struct {
 	Backends []BackendStat
 }
 
-// CoalesceSizeQuantile returns an upper bound on the q-quantile rows
-// per coalesced batch from the log2 histogram (exact to within a
-// factor of two).
-func (s ServerStats) CoalesceSizeQuantile(q float64) uint64 {
-	if s.CoalescedBatches == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(s.CoalescedBatches-1))
-	var seen uint64
-	for b, n := range s.CoalesceSize {
-		seen += n
-		if seen > rank {
-			return uint64(1) << b
-		}
-	}
-	return uint64(1) << (HistBuckets - 1)
-}
-
-// statsHeaderBytes is the fixed prefix of a v4 OpStats payload:
+// statsHeaderBytes is the fixed prefix of an OpStats payload:
 // requests | errors | panics | reloads | inFlight | workers |
-// coalescedBatches | coalescedRequests | coalescedRows |
-// dictBytes | tableBytes | layout | coalesceSize histogram |
+// parallelBatches | dictBytes | tableBytes | layout |
 // tier0Answered | tierEscalated | tierRate histogram | numOps.
-const statsHeaderBytes = 8 + 8 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 8 + 1 + HistBuckets*8 +
+const statsHeaderBytes = 8 + 8 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 1 +
 	8 + 8 + TierRateBuckets*8 + 1
 
 // backendStatBytes is the fixed part of one encoded BackendStat:
@@ -390,10 +332,9 @@ const backendStatBytes = 1 + 1 + 8*6
 // shed | retries | numBackends.
 const routerSectionBytes = 8 + 8 + 1
 
-// encodeStats packs the v4 header above followed by the ops, each op
-// as op | count | errors | totalNs | buckets. (v4 widened the header
-// with the tier counters and escalation-rate histogram; client and
-// server ship together, so the payload carries no version byte.) A
+// encodeStats packs the header above followed by the ops, each op
+// as op | count | errors | totalNs | buckets. (Client and server ship
+// together, so the payload carries no version byte.) A
 // non-nil Router section appends shed | retries | numBackends |
 // backends, each backend as addrLen | addr | state | routed | retried
 // | failures | trips | readmits | inFlight; addresses are truncated to
@@ -424,17 +365,11 @@ func encodeStats(st ServerStats) []byte {
 	binary.LittleEndian.PutUint64(buf[24:], st.Reloads)
 	binary.LittleEndian.PutUint64(buf[32:], uint64(st.InFlight))
 	binary.LittleEndian.PutUint32(buf[40:], uint32(st.Workers))
-	binary.LittleEndian.PutUint64(buf[44:], st.CoalescedBatches)
-	binary.LittleEndian.PutUint64(buf[52:], st.CoalescedRequests)
-	binary.LittleEndian.PutUint64(buf[60:], st.CoalescedRows)
-	binary.LittleEndian.PutUint64(buf[68:], st.DictBytes)
-	binary.LittleEndian.PutUint64(buf[76:], st.TableBytes)
-	buf[84] = st.Layout
-	off := 85
-	for _, b := range st.CoalesceSize {
-		binary.LittleEndian.PutUint64(buf[off:], b)
-		off += 8
-	}
+	binary.LittleEndian.PutUint64(buf[44:], st.ParallelBatches)
+	binary.LittleEndian.PutUint64(buf[52:], st.DictBytes)
+	binary.LittleEndian.PutUint64(buf[60:], st.TableBytes)
+	buf[68] = st.Layout
+	off := 69
 	binary.LittleEndian.PutUint64(buf[off:], st.Tier0Answered)
 	binary.LittleEndian.PutUint64(buf[off+8:], st.TierEscalated)
 	off += 16
@@ -504,24 +439,18 @@ func decodeStats(payload []byte) (ServerStats, error) {
 		return ServerStats{}, fmt.Errorf("serve: stats payload of %d bytes truncated", len(payload))
 	}
 	st := ServerStats{
-		Requests:          binary.LittleEndian.Uint64(payload),
-		Errors:            binary.LittleEndian.Uint64(payload[8:]),
-		Panics:            binary.LittleEndian.Uint64(payload[16:]),
-		Reloads:           binary.LittleEndian.Uint64(payload[24:]),
-		InFlight:          int64(binary.LittleEndian.Uint64(payload[32:])),
-		Workers:           int(binary.LittleEndian.Uint32(payload[40:])),
-		CoalescedBatches:  binary.LittleEndian.Uint64(payload[44:]),
-		CoalescedRequests: binary.LittleEndian.Uint64(payload[52:]),
-		CoalescedRows:     binary.LittleEndian.Uint64(payload[60:]),
-		DictBytes:         binary.LittleEndian.Uint64(payload[68:]),
-		TableBytes:        binary.LittleEndian.Uint64(payload[76:]),
-		Layout:            payload[84],
+		Requests:        binary.LittleEndian.Uint64(payload),
+		Errors:          binary.LittleEndian.Uint64(payload[8:]),
+		Panics:          binary.LittleEndian.Uint64(payload[16:]),
+		Reloads:         binary.LittleEndian.Uint64(payload[24:]),
+		InFlight:        int64(binary.LittleEndian.Uint64(payload[32:])),
+		Workers:         int(binary.LittleEndian.Uint32(payload[40:])),
+		ParallelBatches: binary.LittleEndian.Uint64(payload[44:]),
+		DictBytes:       binary.LittleEndian.Uint64(payload[52:]),
+		TableBytes:      binary.LittleEndian.Uint64(payload[60:]),
+		Layout:          payload[68],
 	}
-	off := 85
-	for b := range st.CoalesceSize {
-		st.CoalesceSize[b] = binary.LittleEndian.Uint64(payload[off:])
-		off += 8
-	}
+	off := 69
 	st.Tier0Answered = binary.LittleEndian.Uint64(payload[off:])
 	st.TierEscalated = binary.LittleEndian.Uint64(payload[off+8:])
 	off += 16

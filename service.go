@@ -93,17 +93,18 @@ const (
 // StatsLayoutName renders a ServerStats.Layout byte for humans.
 func StatsLayoutName(l byte) string { return serve.LayoutName(l) }
 
-// CoalesceConfig tunes the server's request-coalescing stage: small
-// requests from concurrent connections are held up to Hold and served
-// together by one cache-blocked batch call of at most MaxRows rows.
-// Apply with Server.SetCoalescing; Hold <= 0 or MaxRows <= 1 disables
-// coalescing. Replies are bit-exact with the row path either way.
+// CoalesceConfig configured the request coalescer, which no longer
+// exists.
+//
+// Deprecated: Server.SetCoalescing ignores it.
 type CoalesceConfig = serve.CoalesceConfig
 
-// Coalescing defaults installed by every new server.
+// The former coalescing defaults, kept at their old values.
+//
+// Deprecated: nothing reads them.
 const (
-	DefaultCoalesceHold    = serve.DefaultCoalesceHold
-	DefaultCoalesceMaxRows = serve.DefaultCoalesceMaxRows
+	DefaultCoalesceHold    = 250 * time.Microsecond
+	DefaultCoalesceMaxRows = 256
 )
 
 // Engine is the pluggable inference backend accepted by Serve.
