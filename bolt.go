@@ -213,9 +213,9 @@ func (p *Predictor) Predict(x []float32) int { return p.bf.Predict(x, p.s) }
 func (p *Predictor) Votes(x []float32, votes []int64) { p.bf.Votes(x, p.s, votes) }
 
 // PredictBatch classifies every row of X with the cache-blocked batch
-// kernel: the codebook is evaluated for a block of samples into one
-// contiguous bitset block and the dictionary is scanned once per block
-// instead of once per sample.
+// kernel: a block of samples is encoded into predicate-major columns
+// and the dictionary is scanned once per block instead of once per
+// sample.
 func (p *Predictor) PredictBatch(X [][]float32) []int {
 	out := make([]int, len(X))
 	p.bf.PredictBatchInto(X, p.s, out)

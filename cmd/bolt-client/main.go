@@ -221,7 +221,7 @@ func runStats(args []string) error {
 		fmt.Printf("model: %s layout, %d dictionary B + %d table B resident\n",
 			bolt.StatsLayoutName(st.Layout), st.DictBytes, st.TableBytes)
 	}
-	fmt.Printf("parallel batches: %d\n", st.ParallelBatches)
+	fmt.Printf("parallel batches: %d (%d row-sharded on a busy pool)\n", st.ParallelBatches, st.ParallelFallbacks)
 	if st.Tier0Answered+st.TierEscalated > 0 {
 		fmt.Printf("tiered: %d answered at tier 0, %d escalated (escalation rate %.3f)\n",
 			st.Tier0Answered, st.TierEscalated, st.TierEscalationRate())

@@ -237,7 +237,7 @@ func serveForest(bf *bolt.CompiledForest, sum string, factory bolt.EngineFactory
 func printStats(st bolt.ServerStats) {
 	fmt.Printf("served %d requests (%d errors, %d panics recovered, %d reloads, %d in flight) on %d workers\n",
 		st.Requests, st.Errors, st.Panics, st.Reloads, st.InFlight, st.Workers)
-	fmt.Printf("  parallel batches: %d\n", st.ParallelBatches)
+	fmt.Printf("  parallel batches: %d (%d row-sharded on a busy pool)\n", st.ParallelBatches, st.ParallelFallbacks)
 	if st.Tier0Answered+st.TierEscalated > 0 {
 		fmt.Printf("  tiered: %d answered at tier 0, %d escalated (escalation rate %.3f)\n",
 			st.Tier0Answered, st.TierEscalated, st.TierEscalationRate())

@@ -23,7 +23,8 @@ func TestHotPathAnnotations(t *testing.T) {
 		{"../core/compactdict.go", []string{"ID", "decodeCommon", "decodeUncommon", "Lookup", "AccumulateInto", "DecodeInto", "escape", "get"}},
 		{"../core/runtime.go", []string{"runVotesShard", "runPredictShard", "runPartitionShard", "runTieredShard"}},
 		{"../core/tiered.go", []string{"tierLead", "VotesBatchTiered", "votesBlockTiered", "PredictBatchTieredInto"}},
-		{"../bitpack/transpose.go", []string{"Transpose64", "TransposeBlock"}},
+		{"../bitpack/transpose.go", []string{"Transpose64", "TransposeBlock", "UntransposeBlock"}},
+		{"../paths/paths.go", []string{"EncodeColumns", "encodeFeature", "column64"}},
 		{"../serve/server.go", []string{"runBatch"}},
 	}
 	fset := token.NewFileSet()

@@ -9,9 +9,9 @@ import (
 // HotAlloc enforces Bolt's zero-allocation hot-path discipline at
 // compile time. Functions annotated //bolt:hotpath — the batch kernel
 // (VotesBatch, votesBlock, PredictBatchInto), the per-sample scan
-// (Votes, forEachHit, SalienceInto), the bit-matrix transpose and the
-// serve batch shard — must not contain constructs that allocate or
-// block:
+// (Votes, forEachHit, SalienceInto), the column encoder, the bit-matrix
+// transpose and the serve batch shard — must not contain constructs
+// that allocate or block:
 //
 //   - make / append / new / &T{} and map or slice literals (grow
 //     scratch buffers outside the hot path instead);

@@ -159,7 +159,7 @@ func batchTable(rep *BatchReport) *Table {
 			fmt.Sprintf("%d", r.DictEntries), fmt.Sprintf("%d", r.Block),
 			r.SingleNsPerSample, r.BatchNsPerSample, r.Speedup)
 	}
-	t.Note("single core; batch = transpose to predicate-major columns, dictionary entries outer; " +
+	t.Note("single core; batch = encode to predicate-major columns, dictionary entries outer; " +
 		"speedup grows with dictionary length (row path re-scans the dictionary per sample)")
 	return t
 }

@@ -3,9 +3,10 @@ package bitpack
 // Transpose64 transposes a 64×64 bit matrix in place: afterwards bit i
 // of word k equals bit k of word i before the call. This is the
 // recursive block-swap algorithm (Hacker's Delight §7-3) — 6 rounds of
-// masked exchanges instead of 4096 single-bit moves. The batch
-// inference kernel uses it to turn 64 per-sample predicate bitsets
-// (sample-major) into per-predicate sample columns (predicate-major).
+// masked exchanges instead of 4096 single-bit moves. It is its own
+// inverse. The tiered batch kernel uses it to move 64 samples'
+// predicate bits between sample-major rows and predicate-major
+// columns.
 //
 //bolt:hotpath
 func Transpose64(a *[64]uint64) {
@@ -37,5 +38,24 @@ func TransposeBlock(rows, cols []uint64, words int) {
 		}
 		Transpose64(&tmp)
 		copy(cols[w*64:(w+1)*64], tmp[:])
+	}
+}
+
+// UntransposeBlock is TransposeBlock's inverse: it rebuilds 64 row
+// bitsets of `words` words each in rows from the words*64 column words
+// in cols. Rows and cols must not alias.
+//
+//bolt:hotpath
+func UntransposeBlock(cols, rows []uint64, words int) {
+	if len(rows) < 64*words || len(cols) < 64*words {
+		panic("bitpack: UntransposeBlock buffers too short")
+	}
+	var tmp [64]uint64
+	for w := 0; w < words; w++ {
+		copy(tmp[:], cols[w*64:(w+1)*64])
+		Transpose64(&tmp)
+		for i := 0; i < 64; i++ {
+			rows[i*words+w] = tmp[i]
+		}
 	}
 }

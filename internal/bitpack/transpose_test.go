@@ -50,6 +50,24 @@ func TestTransposeBlock(t *testing.T) {
 	}
 }
 
+func TestUntransposeBlockInvertsTransposeBlock(t *testing.T) {
+	const words = 3
+	rows := make([]uint64, 64*words)
+	cols := make([]uint64, 64*words)
+	back := make([]uint64, 64*words)
+	sm := uint64(11)
+	for i := range rows {
+		rows[i] = rng.SplitMix64(&sm)
+	}
+	TransposeBlock(rows, cols, words)
+	UntransposeBlock(cols, back, words)
+	for i := range rows {
+		if back[i] != rows[i] {
+			t.Fatalf("word %d: round trip gave %#x, want %#x", i, back[i], rows[i])
+		}
+	}
+}
+
 func TestTransposeBlockPanicsOnShortBuffers(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -4,36 +4,40 @@ import (
 	"fmt"
 	"math/bits"
 
-	"bolt/internal/bitpack"
 	"bolt/internal/forest"
+	"bolt/internal/paths"
 	"bolt/internal/tree"
 )
 
 // The batch kernel (VotesBatch / PredictBatchInto) processes samples in
 // cache-resident blocks of B rows:
 //
-//  1. evaluate the codebook once per row into a contiguous sample-major
-//     bitset block (B rows × words words);
-//  2. transpose each 64-row chunk into predicate-major columns, so
-//     column p holds predicate p's outcome for 64 samples in one word;
-//  3. interchange the loops — dictionary entries outer, samples inner.
+//  1. encode each 64-row chunk straight into predicate-major columns,
+//     so column p holds predicate p's outcome for 64 samples in one
+//     word. The forest's FeatureIndex (built with the forest) groups
+//     predicates by the feature they test; the encoder copies 32
+//     features × 64 rows feature-major into an 8 KiB tile, then builds
+//     each predicate's column word from 64 contiguous values with the
+//     row path's own x <= t compare. A chunk of k < 64 rows compares
+//     only k values per predicate;
+//  2. interchange the loops — dictionary entries outer, samples inner.
 //     Each entry tests its common pairs with one AND (or AND-NOT) per
 //     pair per 64 samples, early-exiting when no sample still matches,
 //     then gathers addresses and probes the table only for the
 //     surviving samples.
 //
-// Step 3 is where the asymptotic win lives: the row-at-a-time path
+// Step 2 is where the asymptotic win lives: the row-at-a-time path
 // spends words AND+XOR words per entry per sample, the column path
 // spends at most NumCommon ops per entry per 64 samples — and dictionary
 // entries, table slots and filter lines are streamed through cache once
 // per block instead of once per sample.
 
 const (
-	// batchCacheBudget bounds the kernel's working set — the bitset
-	// block, its transpose, and the vote accumulators — so it stays
-	// resident in a per-core cache while the dictionary streams over
-	// it. 192 KiB targets the common private-L2 sizes (256 KiB–1 MiB)
-	// of the paper's evaluation machines (§6.2) with headroom for the
+	// batchCacheBudget bounds the kernel's working set — the column
+	// block and the vote accumulators — so it stays resident in a
+	// per-core cache while the dictionary streams over it. 192 KiB
+	// targets the common private-L2 sizes (256 KiB–1 MiB) of the
+	// paper's evaluation machines (§6.2) with headroom for the
 	// dictionary stream itself. perfsim owns the full hardware model
 	// but imports this package, so the default budget is a constant
 	// here; profile-aware callers can size blocks themselves with
@@ -47,7 +51,8 @@ const (
 // BatchBlockFor returns the largest batch block size (a multiple of 64,
 // clamped to [64, 4096]) whose working set fits a cache of cacheBytes:
 // per sample, `words` row words, `words` column words, and voteWidth
-// vote accumulators.
+// vote accumulators. Only the tiered kernel holds row words (for its
+// survivor compaction), but every forest is budgeted for them.
 func BatchBlockFor(cacheBytes, words, voteWidth int) int {
 	if words < 1 {
 		words = 1
@@ -112,10 +117,11 @@ func (s *Scratch) ensureBatch(bf *Forest) int {
 		s.block = bf.DefaultBatchBlock()
 	}
 	b := s.block
-	w := bf.Flat.Words()
-	if len(s.rowBits) < b*w {
-		s.rowBits = make([]uint64, b*w)
+	if w := bf.Flat.Words(); len(s.cols) < b*w {
 		s.cols = make([]uint64, b*w)
+	}
+	if s.tile == nil {
+		s.tile = new(paths.Tile)
 	}
 	if cd := bf.Compact; cd != nil {
 		// Compact-path decode buffers (CheckSafety runs the inactive
@@ -191,31 +197,28 @@ func (bf *Forest) votesBlock(X [][]float32, s *Scratch, votes []int64) {
 	bf.votesBlockFlat(X, s, votes)
 }
 
-// encodeBlock is the shared front half of both block kernels: zero the
-// accumulators, evaluate the codebook into sample-major rows, and
-// transpose each 64-row chunk to predicate-major columns. Returns the
-// chunk count.
+// encodeBlock is the shared front half of every block kernel: zero the
+// accumulators and encode each 64-row chunk into predicate-major
+// columns (step 1 above). Returns the chunk count.
 //
 //bolt:hotpath
 func (bf *Forest) encodeBlock(X [][]float32, s *Scratch, votes []int64) int {
-	n := len(X)
 	for i := range votes {
 		votes[i] = 0
 	}
-	w := bf.Flat.Words()
-	cw := w * 64
-	// Step 1: sample-major rows. Rows beyond n keep stale bits; the
-	// per-chunk tail mask in the kernels keeps them out of every match.
 	for i, x := range X {
 		if len(x) != bf.NumFeatures {
 			panicRowFeatures(i, len(x), bf.NumFeatures)
 		}
-		bf.Codebook.EvaluateWords(x, s.rowBits[i*w:(i+1)*w])
 	}
-	// Step 2: predicate-major columns, one transpose per 64-row chunk.
-	chunks := (n + 63) / 64
+	cw := bf.Flat.Words() * 64
+	chunks := (len(X) + 63) / 64
 	for c := 0; c < chunks; c++ {
-		bitpack.TransposeBlock(s.rowBits[c*cw:], s.cols[c*cw:], w)
+		end := c*64 + 64
+		if end > len(X) {
+			end = len(X)
+		}
+		bf.features.EncodeColumns(X[c*64:end], s.tile, s.cols[c*cw:(c+1)*cw])
 	}
 	return chunks
 }
@@ -228,7 +231,7 @@ func (bf *Forest) votesBlockFlat(X [][]float32, s *Scratch, votes []int64) {
 	bf.scanEntriesFlat(s.cols, votes, len(X), chunks, 0, bf.Flat.Len())
 }
 
-// scanEntriesFlat runs step 3 of the block kernel — entries outer,
+// scanEntriesFlat runs step 2 of the block kernel — entries outer,
 // samples inner — over the flat dictionary range [lo, hi), reading the
 // predicate-major columns in cols and accumulating into votes (n
 // samples). The tiered kernel (tiered.go) calls it per tier range; the

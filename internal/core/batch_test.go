@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
 	"bolt/internal/dataset"
@@ -35,6 +37,43 @@ func TestVotesBatchMatchesRow(t *testing.T) {
 					t.Fatalf("n=%d sample %d class %d: batch=%d row=%d", n, i, c, batch[i*vw+c], row[c])
 				}
 			}
+		}
+	}
+}
+
+// TestBatchBoundaryValues feeds every batch path the inputs where a
+// predicate's outcome flips or is undefined — exact thresholds, the
+// next float above them, NaN, ±Inf and −0, mixed into rows and as
+// whole rows — and checks them against the source forest through
+// CheckSafety, which covers the row, serial and parallel batch, both
+// layouts and exact tiering.
+func TestBatchBoundaryValues(t *testing.T) {
+	f, d := trainForest(t, 211, 10, 5)
+	for _, opt := range []Options{
+		{ClusterThreshold: 4},
+		{ClusterThreshold: 8, TierTrees: 3},
+		{ClusterThreshold: 2, BloomBitsPerKey: -1},
+	} {
+		bf, err := Compile(f, opt)
+		if err != nil {
+			t.Fatalf("Compile(%+v): %v", opt, err)
+		}
+		X := boundaryInputs(bf.Codebook, 200, d.NumFeatures, 212)
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)} {
+			x := make([]float32, d.NumFeatures)
+			for j := range x {
+				x[j] = float32(v)
+			}
+			X = append(X, x)
+		}
+		for id := 0; id < bf.Codebook.Len(); id++ {
+			p := bf.Codebook.Predicate(int32(id))
+			x := append([]float32(nil), d.X[id%len(d.X)]...)
+			x[p.Feature] = p.Threshold
+			X = append(X, x)
+		}
+		if err := bf.CheckSafety(f, X); err != nil {
+			t.Errorf("options %+v: %v", opt, err)
 		}
 	}
 }
@@ -317,5 +356,57 @@ func TestDecodeCompiledBuildsFlatDict(t *testing.T) {
 	}
 	if err := rt.CheckSafety(f, d.X[:100]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkBatchEncode splits the batch kernel by Fig. 7 phase on the
+// serving benchmark's batch-offline forest shape (synthetic mnist, 30
+// trees of depth 10, default options): "encode" times predicate
+// encoding alone (encodeBlock over every block of the batch), "kernel"
+// the whole block kernel (VotesBatch), each at 1,024, 70, 5 and 1 rows
+// and reported per row.
+func BenchmarkBatchEncode(b *testing.B) {
+	if testing.Short() {
+		b.Skip("training the 30x10 forest takes seconds; skipped in -short")
+	}
+	f := forest.Train(dataset.SyntheticMNIST(3000, 2^0x11), forest.Config{
+		NumTrees: 30,
+		Tree:     tree.Config{MaxDepth: 10},
+		Seed:     2,
+	})
+	bf, err := Compile(f, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	X := dataset.SyntheticMNIST(1024, 3).X
+	vw := bf.VoteWidth()
+	for _, n := range []int{1024, 70, 5, 1} {
+		rows := X[:n]
+		s := bf.NewScratch()
+		block := s.ensureBatch(bf)
+		votes := make([]int64, n*vw)
+		perRow := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+		}
+		b.Run(fmt.Sprintf("rows=%d/encode", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < n; lo += block {
+					hi := lo + block
+					if hi > n {
+						hi = n
+					}
+					bf.encodeBlock(rows[lo:hi], s, votes[lo*vw:hi*vw])
+				}
+			}
+			perRow(b)
+		})
+		b.Run(fmt.Sprintf("rows=%d/kernel", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bf.VotesBatch(rows, s, votes)
+			}
+			perRow(b)
+		})
 	}
 }

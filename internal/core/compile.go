@@ -78,6 +78,12 @@ type Forest struct {
 	Compact     *CompactDict
 	scanCompact bool
 
+	// features groups the codebook's predicates by feature for the
+	// batch kernel's column encoder. Compile and DecodeCompiled build
+	// it with the forest, never lazily: forests are shared across
+	// goroutines.
+	features *paths.FeatureIndex
+
 	NumFeatures int
 	NumClasses  int
 	NumTrees    int
@@ -251,6 +257,7 @@ func (c *Compilation) Compile(opts Options) (*Forest, error) {
 	}
 	bf.Flat.tierEntries = tierEntries
 	bf.buildCompact()
+	bf.features = paths.NewFeatureIndex(bf.Codebook)
 	return bf, nil
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"bolt/internal/bitpack"
 	"bolt/internal/forest"
+	"bolt/internal/paths"
 	"bolt/internal/tree"
 )
 
@@ -16,12 +17,13 @@ type Scratch struct {
 	votes []int64
 
 	// Batch kernel state (see batch.go). block is the samples-per-block
-	// choice (0 until first use or SetBatchBlock); rowBits holds the
-	// sample-major bitset block, cols its predicate-major transpose,
-	// batchVotes the per-block vote accumulators for PredictBatchInto.
+	// choice (0 until first use or SetBatchBlock); cols holds the
+	// block's predicate-major columns, tile the encoder's feature-major
+	// staging buffer, batchVotes the per-block vote accumulators for
+	// PredictBatchInto.
 	block      int
-	rowBits    []uint64
 	cols       []uint64
+	tile       *paths.Tile
 	batchVotes []int64
 
 	// Compact-path state (see compactscan.go): per-entry decode buffers
@@ -33,12 +35,15 @@ type Scratch struct {
 	uncBuf  []int32
 	resDec  []int64
 
-	// Tiered-kernel state (see tiered.go): survivor compaction buffers.
-	// After the tier-0 scan the undecided samples of a block are packed
-	// densely — rows gathered into survRows, re-transposed into
-	// survCols, partial votes into survVotes, original positions in
-	// survIdx — so the tier-1 scan runs the same column kernel over a
-	// smaller block. Grown once; steady state allocates nothing.
+	// Tiered-kernel state (see tiered.go), grown only for tier-split
+	// forests: survivor compaction buffers. After the tier-0 scan the
+	// block's columns are transposed back to sample-major rowBits; the
+	// undecided samples are then packed densely — rows gathered into
+	// survRows, re-transposed into survCols, partial votes into
+	// survVotes, original positions in survIdx — so the tier-1 scan
+	// runs the same column kernel over a smaller block. Grown once;
+	// steady state allocates nothing.
+	rowBits   []uint64
 	survRows  []uint64
 	survCols  []uint64
 	survVotes []int64

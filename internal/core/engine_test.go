@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"bolt/internal/dataset"
 	"bolt/internal/forest"
+	"bolt/internal/paths"
 	"bolt/internal/rng"
 	"bolt/internal/tree"
 )
@@ -36,12 +38,57 @@ func randomInputs(n, features int, seed uint64) [][]float32 {
 	return X
 }
 
+// boundaryInputs returns n rows of randomInputs with up to two thirds
+// of their values replaced by the inputs where a predicate's outcome
+// flips or is undefined: a threshold the codebook tests on that
+// feature, the next float above it, NaN, ±Inf and −0. NaN reaches the
+// kernels from the wire, and uniform random values never hit a
+// threshold exactly.
+func boundaryInputs(cb *paths.Codebook, n, features int, seed uint64) [][]float32 {
+	thresholds := make([][]float32, features)
+	for id := 0; id < cb.Len(); id++ {
+		p := cb.Predicate(int32(id))
+		if int(p.Feature) < features {
+			thresholds[p.Feature] = append(thresholds[p.Feature], p.Threshold)
+		}
+	}
+	r := rng.New(seed ^ 0xb0b0)
+	X := randomInputs(n, features, seed)
+	for _, x := range X {
+		for j := range x {
+			ts := thresholds[j]
+			switch r.Intn(12) {
+			case 0, 1, 2:
+				if len(ts) > 0 {
+					x[j] = ts[r.Intn(len(ts))]
+				}
+			case 3:
+				if len(ts) > 0 {
+					x[j] = math.Nextafter32(ts[r.Intn(len(ts))], float32(math.Inf(1)))
+				}
+			case 4:
+				x[j] = float32(math.NaN())
+			case 5:
+				x[j] = float32(math.Inf(1))
+			case 6:
+				x[j] = float32(math.Inf(-1))
+			case 7:
+				x[j] = float32(math.Copysign(0, -1))
+			}
+		}
+	}
+	return X
+}
+
 // TestSafetyProperty is the headline invariant (paper footnote 1):
 // Bolt's aggregated votes equal the original forest's for every input,
 // across cluster thresholds and bloom configurations.
 func TestSafetyProperty(t *testing.T) {
 	f, d := trainForest(t, 41, 10, 4)
 	X := append(append([][]float32{}, d.X...), randomInputs(300, d.NumFeatures, 42)...)
+	cb := paths.NewCodebook()
+	paths.Enumerate(f, cb)
+	X = append(X, boundaryInputs(cb, 300, d.NumFeatures, 43)...)
 	for _, opt := range []Options{
 		{ClusterThreshold: -1}, // normalises to 0: exact-duplicate merging only
 		{ClusterThreshold: 1},

@@ -15,7 +15,7 @@ import "math/bits"
 //     run per entry.
 //   - common: the common (predicate, value) pairs of every entry packed
 //     as (pred<<1)|valBit int32s, delimited by commonOff — the form the
-//     transposed batch kernel consumes, one column op per pair.
+//     column batch kernel consumes, one column op per pair.
 //   - uncommon: every entry's address predicates, delimited by uncOff.
 //
 // A FlatDict is immutable after construction and safe for concurrent

@@ -2,12 +2,18 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
 // FuzzDecodeCompiled throws arbitrary bytes at the compiled-model
 // decoder: it must never panic, and any artifact it accepts must be
-// usable for inference without out-of-range accesses.
+// usable for inference without out-of-range accesses. Decoded
+// predicates can come in any feature order and can repeat NaN
+// thresholds (the dedupe map never matches a NaN key), so accepted
+// artifacts also run the batch kernel, whose feature index is built at
+// decode time, on a few rows — one of them all NaN — and must agree
+// with the row path.
 func FuzzDecodeCompiled(f *testing.F) {
 	fr, d := trainForest(f, 141, 6, 3)
 	bf, err := Compile(fr, Options{ClusterThreshold: 4})
@@ -31,10 +37,27 @@ func FuzzDecodeCompiled(f *testing.F) {
 		// Accepted artifacts must survive a prediction when the input
 		// width matches; a panic here means the decoder admitted
 		// structurally unsound tables.
-		if got.NumFeatures == len(sample) {
-			s := got.NewScratch()
-			votes := make([]int64, got.NumClasses)
-			got.Votes(sample, s, votes)
+		if got.NumFeatures != len(sample) {
+			return
+		}
+		X := append([][]float32{sample}, boundaryInputs(got.Codebook, 3, len(sample), 1)...)
+		nan := make([]float32, len(sample))
+		for j := range nan {
+			nan[j] = float32(math.NaN())
+		}
+		X = append(X, nan)
+		s := got.NewScratch()
+		vw := got.VoteWidth()
+		batch := make([]int64, len(X)*vw)
+		got.VotesBatch(X, s, batch)
+		row := make([]int64, vw)
+		for i, x := range X {
+			got.Votes(x, s, row)
+			for c := range row {
+				if batch[i*vw+c] != row[c] {
+					t.Fatalf("row %d class %d: batch=%d row=%d", i, c, batch[i*vw+c], row[c])
+				}
+			}
 		}
 	})
 }
@@ -62,7 +85,7 @@ func FuzzVotesBatch(f *testing.F) {
 			t.Fatalf("compile failed: %v", err)
 		}
 		n := int(nRaw % 300)
-		X := randomInputs(n, d.NumFeatures, seed^0xbeef)
+		X := boundaryInputs(bf.Codebook, n, d.NumFeatures, seed^0xbeef)
 		s := bf.NewScratch()
 		s.SetBatchBlock(int(blockRaw % 512)) // 0 keeps the default
 		vw := bf.VoteWidth()
@@ -106,7 +129,7 @@ func FuzzCompactDict(f *testing.F) {
 			t.Fatalf("compile failed: %v", err)
 		}
 		n := int(nRaw % 300)
-		X := randomInputs(n, d.NumFeatures, seed^0xc0de)
+		X := boundaryInputs(bf.Codebook, n, d.NumFeatures, seed^0xc0de)
 		vw := bf.VoteWidth()
 		batches := make(map[bool][]int64, 2)
 		rows := make(map[bool][]int64, 2)
@@ -157,7 +180,7 @@ func FuzzVotesBatchParallel(f *testing.F) {
 		}
 		n := int(nRaw % 300)
 		workers := int(workersRaw%8) + 1
-		X := randomInputs(n, d.NumFeatures, seed^0xfeed)
+		X := boundaryInputs(bf.Codebook, n, d.NumFeatures, seed^0xfeed)
 		s := bf.NewScratch()
 		vw := bf.VoteWidth()
 		batch := make([]int64, n*vw)

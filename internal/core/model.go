@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"bolt/internal/bitpack"
 	"bolt/internal/bloom"
@@ -30,7 +31,21 @@ const (
 	compiledV3 = uint16(3)
 	// compiledMaxCount bounds decoded counts against corrupt headers.
 	compiledMaxCount = 1 << 28
+	// compiledMaxClasses bounds the class count: every result vector,
+	// scratch and batch accumulator is that wide.
+	compiledMaxClasses = 1 << 16
+	// decodePrealloc caps the capacity preallocated from a decoded
+	// count. A count is untrusted until the data behind it has been
+	// read, so longer slices grow by append as their elements arrive
+	// and a corrupt header cannot make the decoder allocate gigabytes.
+	decodePrealloc = 1 << 12
 )
+
+// preallocFor returns the capacity to preallocate for n decoded
+// elements (see decodePrealloc).
+func preallocFor(n int) int {
+	return min(max0(n), decodePrealloc)
+}
 
 // EncodeCompiled writes the compiled forest to w.
 func EncodeCompiled(w io.Writer, bf *Forest) error {
@@ -214,7 +229,7 @@ func DecodeCompiled(r io.Reader) (*Forest, error) {
 		minClasses = 0
 	}
 	if readErr == nil && (bf.NumFeatures <= 0 || bf.NumClasses < minClasses || bf.NumTrees <= 0 ||
-		bf.NumFeatures > compiledMaxCount || bf.NumClasses > compiledMaxCount) {
+		bf.NumFeatures > compiledMaxCount || bf.NumClasses > compiledMaxClasses) {
 		return nil, fmt.Errorf("core: implausible compiled header (features=%d classes=%d trees=%d)",
 			bf.NumFeatures, bf.NumClasses, bf.NumTrees)
 	}
@@ -278,7 +293,7 @@ func DecodeCompiled(r io.Reader) (*Forest, error) {
 			return nil, fmt.Errorf("core: corrupt dictionary header (words=%d entries=%d)", d.words, nEntries)
 		}
 	}
-	d.Entries = make([]DictEntry, 0, max0(nEntries))
+	d.Entries = make([]DictEntry, 0, preallocFor(nEntries))
 	for i := 0; i < nEntries && readErr == nil; i++ {
 		e := DictEntry{
 			ID:         rU32(),
@@ -304,10 +319,15 @@ func DecodeCompiled(r io.Reader) (*Forest, error) {
 			}
 			e.Uncommon[j] = u
 		}
+		common := 0
 		for w := range e.CommonVals {
 			if readErr == nil && e.CommonVals[w]&^e.CommonMask[w] != 0 {
 				return nil, fmt.Errorf("core: entry %d has values outside its mask", i)
 			}
+			common += bits.OnesCount64(e.CommonMask[w])
+		}
+		if readErr == nil && e.NumCommon != common {
+			return nil, fmt.Errorf("core: entry %d claims %d common pairs, its mask holds %d", i, e.NumCommon, common)
 		}
 		d.Entries = append(d.Entries, e)
 	}
@@ -341,7 +361,7 @@ func DecodeCompiled(r io.Reader) (*Forest, error) {
 	if bf.Kind == tree.Regression {
 		voteWidth = 1
 	}
-	t.results = make([][]int64, 0, max0(nResults))
+	t.results = make([][]int64, 0, preallocFor(nResults))
 	for i := 0; i < nResults && readErr == nil; i++ {
 		votes := make([]int64, voteWidth)
 		for c := range votes {
@@ -349,11 +369,15 @@ func DecodeCompiled(r io.Reader) (*Forest, error) {
 		}
 		t.results = append(t.results, votes)
 	}
-	t.slots = make([]slot, max0(nSlots))
+	// The slot array is allocated only once its presence bitmap has
+	// been read in full, so its size is backed by input bytes.
 	bitmapWords := (nSlots + 63) / 64
-	bitmap := make([]uint64, max0(bitmapWords))
-	for w := range bitmap {
-		bitmap[w] = rU64()
+	bitmap := make([]uint64, 0, preallocFor(bitmapWords))
+	for w := 0; w < bitmapWords && readErr == nil; w++ {
+		bitmap = append(bitmap, rU64())
+	}
+	if readErr == nil {
+		t.slots = make([]slot, nSlots)
 	}
 	used := 0
 	for i := 0; i < nSlots && readErr == nil; i++ {
@@ -381,9 +405,12 @@ func DecodeCompiled(r io.Reader) (*Forest, error) {
 		if readErr == nil && (blobLen <= 0 || blobLen > compiledMaxCount) {
 			return nil, fmt.Errorf("core: implausible bloom blob size %d", blobLen)
 		}
-		blob := make([]byte, max0(blobLen))
+		var blob []byte
 		if readErr == nil {
-			_, readErr = io.ReadFull(br, blob)
+			blob, readErr = io.ReadAll(io.LimitReader(br, int64(blobLen)))
+			if readErr == nil && len(blob) < blobLen {
+				readErr = io.ErrUnexpectedEOF
+			}
 		}
 		if readErr == nil {
 			var f bloom.Filter
@@ -414,7 +441,9 @@ func DecodeCompiled(r io.Reader) (*Forest, error) {
 	}
 	// Rebuild the derived §5 compact layout; construction is
 	// deterministic, so this reproduces Compile's CompactDict exactly.
+	// The encoder's feature index is derived the same way.
 	bf.buildCompact()
+	bf.features = paths.NewFeatureIndex(bf.Codebook)
 	return bf, nil
 }
 

@@ -231,8 +231,8 @@ func (st *runtimeState) dispatch(active int) {
 
 // shard assigns contiguous runs of 64-sample chunks to workers and
 // returns how many workers got a non-empty shard. Boundaries land on
-// multiples of 64 so no transposed column chunk is split between
-// cores; the last shard absorbs the tail.
+// multiples of 64 so no 64-row column chunk is split between cores;
+// the last shard absorbs the tail.
 func (st *runtimeState) shard(n int) int {
 	chunks := (n + 63) / 64
 	active := len(st.workers)

@@ -93,6 +93,7 @@ func (bf *Forest) effectiveTierMargin(m int64) int64 {
 // Cold: runs once per batch, before the hotpath kernels.
 func (s *Scratch) ensureTiered(b, w, vw int) {
 	if len(s.survRows) < b*w {
+		s.rowBits = make([]uint64, b*w)
 		s.survRows = make([]uint64, b*w)
 		s.survCols = make([]uint64, b*w)
 	}
@@ -196,14 +197,17 @@ func (bf *Forest) votesBlockTiered(X [][]float32, s *Scratch, votes []int64, mar
 		}
 		return
 	}
-	// Compact the survivors: gather their sample-major rows and partial
-	// votes densely, re-transpose to predicate-major columns (the same
-	// 64×64 bitpack machinery as encodeBlock), resume accumulation over
-	// the tier-1 range, and scatter the finished rows back. Rows past
-	// ns in the final chunk hold stale bits; the scan's tail mask keeps
-	// them out of every match.
+	// Compact the survivors: transpose the block's columns back to
+	// sample-major rows, gather the survivors' rows and partial votes
+	// densely, re-transpose to predicate-major columns, resume
+	// accumulation over the tier-1 range, and scatter the finished rows
+	// back. Rows past ns in the final chunk hold stale bits; the scan's
+	// tail mask keeps them out of every match.
 	w := bf.Flat.Words()
 	cw := w * 64
+	for c := 0; c < chunks; c++ {
+		bitpack.UntransposeBlock(s.cols[c*cw:], s.rowBits[c*cw:], w)
+	}
 	for i := 0; i < ns; i++ {
 		si := int(s.survIdx[i])
 		copy(s.survRows[i*w:(i+1)*w], s.rowBits[si*w:(si+1)*w])

@@ -286,7 +286,7 @@ func FuzzTieredDifferential(f *testing.F) {
 			t.Fatalf("compile failed: %v", err)
 		}
 		n := int(nRaw % 300)
-		X := randomInputs(n, d.NumFeatures, seed^0x71e4)
+		X := boundaryInputs(bf.Codebook, n, d.NumFeatures, seed^0x71e4)
 		vw := bf.VoteWidth()
 		row := make([]int64, vw)
 		ref := make([]int64, n*vw)

@@ -64,24 +64,14 @@ func (c *Codebook) Predicate(id int32) Predicate { return c.preds[id] }
 
 // Evaluate computes every predicate on x into bits: bit id is set iff
 // x[feature] <= threshold. bits must have capacity Len(). This is the
-// single input-encoding pass of Bolt's inference hot loop, so it builds
-// each backing word branchlessly instead of setting bits one at a time.
+// row path's single input-encoding pass, so it builds each backing
+// word branchlessly instead of setting bits one at a time; the batch
+// kernel encodes through a FeatureIndex instead.
 func (c *Codebook) Evaluate(x []float32, bits *bitpack.Bitset) {
 	if bits.Len() < len(c.preds) {
 		panic(fmt.Sprintf("paths: bitset capacity %d < %d predicates", bits.Len(), len(c.preds)))
 	}
-	c.EvaluateWords(x, bits.Words())
-}
-
-// EvaluateWords is Evaluate writing directly into raw backing words —
-// the form the batch kernel uses to fill one row of a contiguous
-// sample-major bitset block without materialising a Bitset per row.
-// words must hold at least ceil(Len()/64) words; words beyond the last
-// predicate word are left untouched.
-func (c *Codebook) EvaluateWords(x []float32, words []uint64) {
-	if len(words)*64 < len(c.preds) {
-		panic(fmt.Sprintf("paths: %d words cannot hold %d predicates", len(words), len(c.preds)))
-	}
+	words := bits.Words()
 	preds := c.preds
 	for w := 0; w*64 < len(preds); w++ {
 		end := (w + 1) * 64
@@ -99,6 +89,134 @@ func (c *Codebook) EvaluateWords(x []float32, words []uint64) {
 		}
 		words[w] = word
 	}
+}
+
+// tileFeatures is how many tested features the column encoder stages
+// per tile: a Tile holds tileFeatures features × 64 rows of float32,
+// 8 KiB, so a tile and the column words it produces stay in L1.
+const tileFeatures = 32
+
+// Tile is the column encoder's feature-major staging buffer: tile[j][r]
+// holds row r's value of the tile's j-th feature.
+type Tile [tileFeatures][64]float32
+
+// FeatureIndex is the predicate-major view of a codebook that the batch
+// kernel encodes through: the distinct tested features in ascending
+// order, and for each one the IDs and thresholds of the predicates
+// that test it. It is a snapshot — predicates registered afterwards are
+// not in it — and read-only, so one index serves every goroutine.
+type FeatureIndex struct {
+	feats []int32       // distinct tested features, ascending
+	start []int32       // feats[g]'s predicates are preds[start[g]:start[g+1]]
+	preds []indexedPred // grouped by feature, ascending ID within a group
+}
+
+// indexedPred is one predicate's ID and threshold, stored together so
+// the encoder reads both with one load.
+type indexedPred struct {
+	id  int32
+	thr float32
+}
+
+// NewFeatureIndex groups the codebook's predicates by feature with one
+// counting sort, done once per compiled forest.
+func NewFeatureIndex(c *Codebook) *FeatureIndex {
+	nf := 0
+	for _, p := range c.preds {
+		nf = max(nf, int(p.Feature)+1)
+	}
+	// next[f] becomes the first slot of feature f's group, then walks
+	// through the group as its predicates are placed in ID order.
+	next := make([]int32, nf+1)
+	for _, p := range c.preds {
+		next[p.Feature+1]++
+	}
+	fi := &FeatureIndex{preds: make([]indexedPred, len(c.preds))}
+	for f := 0; f < nf; f++ {
+		if next[f+1] > 0 {
+			fi.feats = append(fi.feats, int32(f))
+			fi.start = append(fi.start, next[f])
+		}
+		next[f+1] += next[f]
+	}
+	fi.start = append(fi.start, int32(len(c.preds)))
+	for id, p := range c.preds {
+		fi.preds[next[p.Feature]] = indexedPred{id: int32(id), thr: p.Threshold}
+		next[p.Feature]++
+	}
+	return fi
+}
+
+// EncodeColumns evaluates every indexed predicate on up to 64 rows into
+// predicate-major column words: bit r of cols[id] is set iff
+// rows[r][feature] <= threshold, the compare Evaluate makes, so NaN,
+// ±Inf and −0 inputs and NaN thresholds encode exactly as on the row
+// path. Bits at and above len(rows) are zero, and words of IDs the
+// index does not hold are left untouched. Each tile of tileFeatures
+// features is first copied feature-major into tile, so every column
+// word is built from contiguous values. Every row must be long enough
+// for the highest indexed feature.
+//
+//bolt:hotpath
+func (fi *FeatureIndex) EncodeColumns(rows [][]float32, tile *Tile, cols []uint64) {
+	k := len(rows)
+	if k > 64 {
+		panic("paths: EncodeColumns takes at most 64 rows")
+	}
+	feats, start, preds := fi.feats, fi.start, fi.preds
+	for g0 := 0; g0 < len(feats); g0 += tileFeatures {
+		group := feats[g0:]
+		if len(group) > tileFeatures {
+			group = group[:tileFeatures]
+		}
+		for r, x := range rows {
+			for j, f := range group {
+				tile[j][r] = x[f]
+			}
+		}
+		for j := range group {
+			encodeFeature(&tile[j], k, preds[start[g0+j]:start[g0+j+1]], cols)
+		}
+	}
+}
+
+// encodeFeature writes the column words of one feature's predicates
+// from the feature's k staged values. Kept out of EncodeColumns so the
+// compare loops run with every variable in a register.
+//
+//bolt:hotpath
+func encodeFeature(vals *[64]float32, k int, preds []indexedPred, cols []uint64) {
+	if k == 64 {
+		for _, ip := range preds {
+			cols[ip.id] = column64(vals, ip.thr)
+		}
+		return
+	}
+	for _, ip := range preds {
+		t := ip.thr
+		var word uint64
+		for r := k - 1; r >= 0; r-- {
+			word = word<<1 | uint64(b2u(vals[r] <= t))
+		}
+		cols[ip.id] = word
+	}
+}
+
+// column64 returns the column word of threshold t over a full chunk:
+// bit r is set iff v[r] <= t. Eight compares fill each byte with
+// constant shifts, so the compares do not wait on one another.
+//
+//bolt:hotpath
+func column64(v *[64]float32, t float32) uint64 {
+	var word uint64
+	for r := 0; r < 64; r += 8 {
+		b := (*[8]float32)(v[r : r+8])
+		word |= (uint64(b2u(b[0] <= t)) | uint64(b2u(b[1] <= t))<<1 |
+			uint64(b2u(b[2] <= t))<<2 | uint64(b2u(b[3] <= t))<<3 |
+			uint64(b2u(b[4] <= t))<<4 | uint64(b2u(b[5] <= t))<<5 |
+			uint64(b2u(b[6] <= t))<<6 | uint64(b2u(b[7] <= t))<<7) << uint(r)
+	}
+	return word
 }
 
 // b2u converts a bool to 0/1 without a branch (compiles to SETcc).

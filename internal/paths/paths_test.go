@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -53,6 +54,71 @@ func TestEvaluate(t *testing.T) {
 		}
 	}()
 	cb.Evaluate([]float32{1, 1}, bitpack.New(1))
+}
+
+// TestEncodeColumnsMatchesEvaluate: for every chunk size, the column
+// encoder's bit r of column id equals Evaluate's bit id on row r —
+// with predicates registered out of feature order, repeated NaN
+// thresholds, more features than one tile holds, and inputs that sit
+// exactly on thresholds or are NaN, ±Inf or −0.
+func TestEncodeColumnsMatchesEvaluate(t *testing.T) {
+	const features = 2*tileFeatures + 5
+	nan := float32(math.NaN())
+	r := rng.New(51)
+	cb := NewCodebook()
+	var thresholds []float32
+	for i := 0; i < 300; i++ {
+		thr := float32(r.Float64()*10 - 5)
+		switch i % 17 {
+		case 0:
+			thr = nan // never deduped: every NaN gets its own ID
+		case 1:
+			thr = float32(math.Inf(1))
+		case 2:
+			thr = float32(math.Copysign(0, -1))
+		}
+		cb.ID(Predicate{Feature: int32(r.Intn(features)), Threshold: thr})
+		thresholds = append(thresholds, thr)
+	}
+	special := []float32{nan, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1)), 0}
+	rows := make([][]float32, 64)
+	for i := range rows {
+		x := make([]float32, features)
+		for j := range x {
+			switch r.Intn(4) {
+			case 0:
+				x[j] = thresholds[r.Intn(len(thresholds))]
+			case 1:
+				x[j] = special[r.Intn(len(special))]
+			default:
+				x[j] = float32(r.Float64()*10 - 5)
+			}
+		}
+		rows[i] = x
+	}
+	fi := NewFeatureIndex(cb)
+	var tile Tile
+	bits := bitpack.New(cb.Len())
+	// k = 64 runs first, so each shorter chunk after it finds stale
+	// values in the tile rows past k.
+	for _, k := range []int{64, 0, 1, 5, 9, 63} {
+		cols := make([]uint64, cb.Len())
+		fi.EncodeColumns(rows[:k], &tile, cols)
+		for i := 0; i < k; i++ {
+			cb.Evaluate(rows[i], bits)
+			for id := 0; id < cb.Len(); id++ {
+				if got, want := cols[id]>>uint(i)&1 == 1, bits.Get(id); got != want {
+					t.Fatalf("k=%d row %d predicate %d (%+v, x=%v): column bit %v, Evaluate %v",
+						k, i, id, cb.Predicate(int32(id)), rows[i][cb.Predicate(int32(id)).Feature], got, want)
+				}
+			}
+		}
+		for id, c := range cols {
+			if k < 64 && c>>uint(k) != 0 {
+				t.Fatalf("k=%d predicate %d: bits set at or above row %d: %#x", k, id, k, c)
+			}
+		}
+	}
 }
 
 // fig2Tree reproduces the paper's Figure 2 tree: root f.a, left child

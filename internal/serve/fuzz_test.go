@@ -50,6 +50,8 @@ func FuzzDecodeStats(f *testing.F) {
 	f.Add(encodeStats(st))
 	st.ParallelBatches = 6
 	f.Add(encodeStats(st))
+	st.ParallelFallbacks = 2
+	f.Add(encodeStats(st))
 	st.Tier0Answered, st.TierEscalated = 120, 40
 	st.TierRate[0] = 2
 	st.TierRate[3] = 1

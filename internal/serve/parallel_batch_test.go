@@ -116,12 +116,16 @@ func TestParallelBatchSmallFallsBack(t *testing.T) {
 	if got := srv.Stats().ParallelBatches; got != 0 {
 		t.Errorf("ParallelBatches = %d, want 0 for a small batch", got)
 	}
+	if got := srv.Stats().ParallelFallbacks; got != 0 {
+		t.Errorf("ParallelFallbacks = %d, want 0: a small batch never qualifies", got)
+	}
 }
 
 // TestParallelBatchBusyPoolFallsBack: if any engine is checked out when
 // the batch arrives, the non-blocking whole-pool claim backs off and
 // the batch row-shards across whatever becomes idle — no deadlock, no
-// takeover.
+// takeover — and the fallback is counted. Once the engine is back, the
+// next batch takes the pool.
 func TestParallelBatchBusyPoolFallsBack(t *testing.T) {
 	bf, d := batchTestForest(t)
 	srv, _, _ := newParallelPool(t, bf, d.NumFeatures)
@@ -140,8 +144,17 @@ func TestParallelBatchBusyPoolFallsBack(t *testing.T) {
 			t.Fatalf("sample %d: served %d, reference %d", i, labels[i], want)
 		}
 	}
-	if got := srv.Stats().ParallelBatches; got != 0 {
-		t.Errorf("ParallelBatches = %d, want 0 with a busy pool", got)
+	if st := srv.Stats(); st.ParallelBatches != 0 || st.ParallelFallbacks != 1 {
+		t.Errorf("busy pool: ParallelBatches = %d, ParallelFallbacks = %d; want 0, 1",
+			st.ParallelBatches, st.ParallelFallbacks)
+	}
+
+	if _, err := srv.predictBatch(p, d.X); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.ParallelBatches != 1 || st.ParallelFallbacks != 1 {
+		t.Errorf("idle pool: ParallelBatches = %d, ParallelFallbacks = %d; want 1, 1",
+			st.ParallelBatches, st.ParallelFallbacks)
 	}
 }
 

@@ -272,7 +272,7 @@ func TestStatsEndToEnd(t *testing.T) {
 func TestStatsRoundTrip(t *testing.T) {
 	in := ServerStats{
 		Requests: 7, Errors: 2, InFlight: 1, Workers: 4, ParallelBatches: 3,
-		DictBytes: 4096, TableBytes: 8192, Layout: LayoutCompact,
+		ParallelFallbacks: 5, DictBytes: 4096, TableBytes: 8192, Layout: LayoutCompact,
 		Tier0Answered: 150, TierEscalated: 50,
 	}
 	in.TierRate[2] = 2
@@ -291,7 +291,7 @@ func TestStatsRoundTrip(t *testing.T) {
 	}
 	if out.Requests != in.Requests || out.Errors != in.Errors ||
 		out.InFlight != in.InFlight || out.Workers != in.Workers ||
-		out.ParallelBatches != in.ParallelBatches {
+		out.ParallelBatches != in.ParallelBatches || out.ParallelFallbacks != in.ParallelFallbacks {
 		t.Fatalf("header mismatch: %+v vs %+v", out, in)
 	}
 	if out.DictBytes != in.DictBytes || out.TableBytes != in.TableBytes || out.Layout != in.Layout {

@@ -633,6 +633,7 @@ func (s *Server) predictBatch(p *enginePool, X [][]float32) ([]int, error) {
 		if labels, took, err := s.predictBatchParallel(p, X); took {
 			return labels, err
 		}
+		s.stats.parallelFallbacks.Add(1)
 	}
 	labels := make([]int, len(X))
 	shards := p.workers
@@ -693,9 +694,10 @@ func (s *Server) predictBatch(p *enginePool, X [][]float32) ([]int, error) {
 // kernel is about to use every core, so nothing else should run — and
 // classifies the batch with one ParallelBatchPredictor engine. If any
 // engine is busy the claim is abandoned (took=false) and the caller
-// falls back to row-sharding; two concurrent batches can each grab
-// part of the pool, both back off, and both shard — engines always
-// return to the channel, so no request deadlocks.
+// falls back to row-sharding, counted in ParallelFallbacks; two
+// concurrent batches can each grab part of the pool, both back off,
+// and both shard — engines always return to the channel, so no
+// request deadlocks.
 func (s *Server) predictBatchParallel(p *enginePool, X [][]float32) (labels []int, took bool, err error) {
 	taken := make([]Engine, 0, p.workers)
 	defer func() {

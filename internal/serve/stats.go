@@ -67,14 +67,17 @@ func (c *opCounter) observe(d time.Duration) {
 const TierRateBuckets = 11
 
 // serverStats is the server's live counter block. parallelBatches
-// counts whole-pool parallel-kernel takeovers (predictBatchParallel).
+// counts whole-pool parallel-kernel takeovers (predictBatchParallel);
+// parallelFallbacks counts the batches that qualified for one but were
+// row-sharded because an engine was checked out.
 type serverStats struct {
-	requests        atomic.Uint64
-	errors          atomic.Uint64
-	panics          atomic.Uint64
-	reloads         atomic.Uint64
-	parallelBatches atomic.Uint64
-	inFlight        atomic.Int64
+	requests          atomic.Uint64
+	errors            atomic.Uint64
+	panics            atomic.Uint64
+	reloads           atomic.Uint64
+	parallelBatches   atomic.Uint64
+	parallelFallbacks atomic.Uint64
+	inFlight          atomic.Int64
 
 	// Tiered-inference counters: samples the tier-0 prefix answered,
 	// samples escalated to the full ensemble, and a per-batch
@@ -111,15 +114,16 @@ func (s *serverStats) observeTier(answered, total uint64) {
 // between reads) but every individual value is a valid atomic load.
 func (s *serverStats) snapshot(workers int) ServerStats {
 	out := ServerStats{
-		Requests:        s.requests.Load(),
-		Errors:          s.errors.Load(),
-		Panics:          s.panics.Load(),
-		Reloads:         s.reloads.Load(),
-		InFlight:        s.inFlight.Load(),
-		Workers:         workers,
-		ParallelBatches: s.parallelBatches.Load(),
-		Tier0Answered:   s.tier0Answered.Load(),
-		TierEscalated:   s.tierEscalated.Load(),
+		Requests:          s.requests.Load(),
+		Errors:            s.errors.Load(),
+		Panics:            s.panics.Load(),
+		Reloads:           s.reloads.Load(),
+		InFlight:          s.inFlight.Load(),
+		Workers:           workers,
+		ParallelBatches:   s.parallelBatches.Load(),
+		ParallelFallbacks: s.parallelFallbacks.Load(),
+		Tier0Answered:     s.tier0Answered.Load(),
+		TierEscalated:     s.tierEscalated.Load(),
 	}
 	for b := range s.tierRate {
 		out.TierRate[b] = s.tierRate[b].Load()
@@ -196,6 +200,10 @@ type ServerStats struct {
 	// ParallelBatches counts batches classified by one engine's
 	// multi-core kernel after claiming the whole idle pool.
 	ParallelBatches uint64
+	// ParallelFallbacks counts batches large enough for that kernel
+	// that were row-sharded across the pool instead, because an engine
+	// was checked out when they arrived.
+	ParallelFallbacks uint64
 	// CoalescedBatches, CoalescedRequests and CoalescedRows counted the
 	// request coalescer's batches; they are not on the wire and read 0.
 	//
@@ -318,9 +326,9 @@ type RouterSection struct {
 
 // statsHeaderBytes is the fixed prefix of an OpStats payload:
 // requests | errors | panics | reloads | inFlight | workers |
-// parallelBatches | dictBytes | tableBytes | layout |
-// tier0Answered | tierEscalated | tierRate histogram | numOps.
-const statsHeaderBytes = 8 + 8 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 1 +
+// parallelBatches | parallelFallbacks | dictBytes | tableBytes |
+// layout | tier0Answered | tierEscalated | tierRate histogram | numOps.
+const statsHeaderBytes = 8 + 8 + 8 + 8 + 8 + 4 + 8 + 8 + 8 + 8 + 1 +
 	8 + 8 + TierRateBuckets*8 + 1
 
 // backendStatBytes is the fixed part of one encoded BackendStat:
@@ -366,10 +374,11 @@ func encodeStats(st ServerStats) []byte {
 	binary.LittleEndian.PutUint64(buf[32:], uint64(st.InFlight))
 	binary.LittleEndian.PutUint32(buf[40:], uint32(st.Workers))
 	binary.LittleEndian.PutUint64(buf[44:], st.ParallelBatches)
-	binary.LittleEndian.PutUint64(buf[52:], st.DictBytes)
-	binary.LittleEndian.PutUint64(buf[60:], st.TableBytes)
-	buf[68] = st.Layout
-	off := 69
+	binary.LittleEndian.PutUint64(buf[52:], st.ParallelFallbacks)
+	binary.LittleEndian.PutUint64(buf[60:], st.DictBytes)
+	binary.LittleEndian.PutUint64(buf[68:], st.TableBytes)
+	buf[76] = st.Layout
+	off := 77
 	binary.LittleEndian.PutUint64(buf[off:], st.Tier0Answered)
 	binary.LittleEndian.PutUint64(buf[off+8:], st.TierEscalated)
 	off += 16
@@ -439,18 +448,19 @@ func decodeStats(payload []byte) (ServerStats, error) {
 		return ServerStats{}, fmt.Errorf("serve: stats payload of %d bytes truncated", len(payload))
 	}
 	st := ServerStats{
-		Requests:        binary.LittleEndian.Uint64(payload),
-		Errors:          binary.LittleEndian.Uint64(payload[8:]),
-		Panics:          binary.LittleEndian.Uint64(payload[16:]),
-		Reloads:         binary.LittleEndian.Uint64(payload[24:]),
-		InFlight:        int64(binary.LittleEndian.Uint64(payload[32:])),
-		Workers:         int(binary.LittleEndian.Uint32(payload[40:])),
-		ParallelBatches: binary.LittleEndian.Uint64(payload[44:]),
-		DictBytes:       binary.LittleEndian.Uint64(payload[52:]),
-		TableBytes:      binary.LittleEndian.Uint64(payload[60:]),
-		Layout:          payload[68],
+		Requests:          binary.LittleEndian.Uint64(payload),
+		Errors:            binary.LittleEndian.Uint64(payload[8:]),
+		Panics:            binary.LittleEndian.Uint64(payload[16:]),
+		Reloads:           binary.LittleEndian.Uint64(payload[24:]),
+		InFlight:          int64(binary.LittleEndian.Uint64(payload[32:])),
+		Workers:           int(binary.LittleEndian.Uint32(payload[40:])),
+		ParallelBatches:   binary.LittleEndian.Uint64(payload[44:]),
+		ParallelFallbacks: binary.LittleEndian.Uint64(payload[52:]),
+		DictBytes:         binary.LittleEndian.Uint64(payload[60:]),
+		TableBytes:        binary.LittleEndian.Uint64(payload[68:]),
+		Layout:            payload[76],
 	}
-	off := 69
+	off := 77
 	st.Tier0Answered = binary.LittleEndian.Uint64(payload[off:])
 	st.TierEscalated = binary.LittleEndian.Uint64(payload[off+8:])
 	off += 16

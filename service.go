@@ -31,8 +31,9 @@ var (
 // part of that share is reserved for the scan-resident structures of
 // the forest's ACTIVE layout (flat or §5 compact — a compressed
 // dictionary leaves more room, so blocks grow), and the block is chosen
-// so the bitset block, its transpose and the vote accumulators stay
-// resident in the remainder. Apply the result with a Predictor's
+// so the predicate column block and the vote accumulators stay
+// resident in the remainder (the budget still counts a row bitset per
+// sample, which only the tiered kernel holds). Apply the result with a Predictor's
 // scratch via core's SetBatchBlock, or just rely on the built-in
 // default, which targets common per-core L2 sizes.
 func BatchBlockForProfile(bf *CompiledForest, prof HardwareProfile) int {
